@@ -23,7 +23,7 @@ def streaming_vs_batch():
     region = ds.region
 
     # 40 churn events: half departures, half arrivals.
-    uids = [u.uid for u in ds.users]
+    uids = ds.arena.uids.tolist()
     t0 = time.perf_counter()
     for i in range(20):
         session.remove_user(uids[i])

@@ -42,17 +42,17 @@ def _churn(session, n_events, rng, next_uid):
     n_move = max(1, int(round(n_events * 0.6)))
     n_add = max(1, int(round(n_events * 0.2)))
     n_rem = n_add
-    uids = sorted(session._users)
+    uids = session.uids().tolist()
     for uid in rng.choice(uids, size=min(n_move, len(uids)), replace=False):
-        user = session._users[int(uid)]
+        user = session.user(int(uid))
         moved = user.positions + rng.normal(0.0, 0.5, user.positions.shape)
         session.update_user(MovingUser(int(uid), moved))
-    anchor = session._users[uids[0]].positions
+    anchor = session.user(uids[0]).positions
     for _ in range(n_add):
         pos = anchor + rng.normal(0.0, 5.0, anchor.shape)
         session.add_user(MovingUser(next_uid, pos))
         next_uid += 1
-    survivors = sorted(session._users)
+    survivors = session.uids().tolist()
     for uid in rng.choice(survivors, size=min(n_rem, len(survivors)), replace=False):
         session.remove_user(int(uid))
     return next_uid
@@ -91,7 +91,7 @@ def run_incremental_patch_benchmark(
     _sweep(prepared, ks)  # densify the CSR matrix, capture round-0 bounds
 
     rng = np.random.default_rng(42)
-    next_uid = max(u.uid for u in dataset.users) + 1
+    next_uid = int(dataset.arena.uids.max()) + 1
     rows = []
     identical = True
     for rate in churn_rates:

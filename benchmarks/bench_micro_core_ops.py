@@ -40,7 +40,7 @@ def c_dataset():
 @pytest.fixture(scope="module")
 def iqt(c_dataset):
     return IQuadTree(
-        c_dataset.users, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), c_dataset.region
+        c_dataset.arena, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), c_dataset.region
     )
 
 
@@ -72,11 +72,12 @@ def test_rtree_range_query(benchmark, c_dataset):
 
 def test_influence_evaluation(benchmark, c_dataset):
     ev = InfluenceEvaluator(paper_default_pf(), DEFAULT_TAU)
-    users = c_dataset.users[:200]
+    arena = c_dataset.arena
+    rows = [arena.row(i) for i in range(min(200, len(arena)))]
     v = c_dataset.candidates[0]
 
     def evaluate():
-        return sum(ev.influences(v.x, v.y, u.positions) for u in users)
+        return sum(ev.influences(v.x, v.y, positions) for positions in rows)
 
     benchmark(evaluate)
 

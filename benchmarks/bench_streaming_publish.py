@@ -115,13 +115,28 @@ def _same(a, b) -> bool:
     return a.selected == b.selected and a.gains == b.gains and a.objective == b.objective
 
 
+#: Lines of a failed worker's stderr quoted in the error.
+STDERR_TAIL_LINES = 20
+
+
 def _worker(src: Path, seed: int, rounds: int, smoke: bool) -> list:
+    """Run one worker on the ``repro`` under ``src``; its rounds, parsed.
+
+    Raises:
+        RuntimeError: When the worker exits non-zero; the message carries
+            its exit code and the tail of its stderr.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, __file__, "--worker", "--seed", str(seed), "--rounds", str(rounds)]
     proc = subprocess.run(
         cmd + (["--smoke"] if smoke else []),
-        env=env, check=True, capture_output=True, text=True, cwd=REPO_ROOT,
+        env=env, capture_output=True, text=True, cwd=REPO_ROOT,
     )
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        raise RuntimeError(
+            f"worker on {src} exited with code {proc.returncode}; stderr tail:\n{tail}"
+        )
     return [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
 
 

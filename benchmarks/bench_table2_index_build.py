@@ -16,7 +16,7 @@ def test_table2_index_build(benchmark):
     ds = dataset("C")
 
     def build():
-        return IQuadTree(ds.users, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), ds.region)
+        return IQuadTree(ds.arena, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), ds.region)
 
     benchmark(build)
     rows = table2_index_build()

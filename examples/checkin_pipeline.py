@@ -59,8 +59,8 @@ def main() -> None:
         generate_sample(SAMPLE_PATH)
 
     data = load_checkins(args.path, min_positions=2)
-    print(f"loaded {len(data.users)} users, "
-          f"{sum(u.r for u in data.users)} positions, "
+    print(f"loaded {len(data.arena)} users, "
+          f"{data.arena.n_positions} positions, "
           f"{data.pois.shape[0]} distinct POIs")
 
     n_candidates = min(25, data.pois.shape[0] // 3)

@@ -43,9 +43,9 @@ def show_rule_power() -> None:
         ("N-like", new_york_like(n_users=400, seed=1)),
     ]:
         iq, _ = measure_iquadtree_pruning(
-            ds.users, ds.abstract_facilities, 0.7, pf, 2.0, ds.region
+            ds.arena, ds.abstract_facilities, 0.7, pf, 2.0, ds.region
         )
-        pino = measure_pinocchio_pruning(ds.users, ds.abstract_facilities, 0.7, pf)
+        pino = measure_pinocchio_pruning(ds.arena, ds.abstract_facilities, 0.7, pf)
         print(
             f"{name:>9} {iq.confirmed_fraction:>9.2%} {pino.confirmed_fraction:>9.2%} "
             f"{iq.pruned_fraction:>11.2%} {pino.pruned_fraction:>11.2%}"

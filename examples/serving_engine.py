@@ -61,8 +61,8 @@ def main() -> None:
 
         # --- streaming update: republish retires the stale cache ------
         session = StreamingMC2LS.from_dataset(dataset, k=6, tau=0.7)
-        for user in dataset.users[::4]:
-            session.remove_user(user.uid)
+        for uid in session.uids()[::4]:
+            session.remove_user(uid)
         snap = engine.publish_streaming(session)
         fresh = engine.execute(SelectionQuery(k=6))
         check = IQTSolver().solve(

@@ -83,7 +83,7 @@ def render_dataset(
     Overlays: ``F`` existing facilities, ``c`` candidates, ``$`` selected
     candidates.
     """
-    xy = np.vstack([u.positions for u in dataset.users])
+    xy = dataset.arena.positions
     selected_set = set(selected)
     markers: List[Tuple[float, float, str]] = []
     markers.extend((f.x, f.y, "F") for f in dataset.facilities)

@@ -38,7 +38,7 @@ def fig07a_rule_effect(kind: str) -> List[Dict]:
     rows = []
     for tau in TAU_SWEEP:
         stats, _ = measure_iquadtree_pruning(
-            ds.users, ds.abstract_facilities, tau, _pf(), DEFAULT_D_HAT, ds.region
+            ds.arena, ds.abstract_facilities, tau, _pf(), DEFAULT_D_HAT, ds.region
         )
         rows.append(
             {
@@ -78,9 +78,9 @@ def fig08_rule_comparison(kind: str) -> List[Dict]:
     rows = []
     for tau in TAU_SWEEP:
         iq_stats, _ = measure_iquadtree_pruning(
-            ds.users, ds.abstract_facilities, tau, _pf(), DEFAULT_D_HAT, ds.region
+            ds.arena, ds.abstract_facilities, tau, _pf(), DEFAULT_D_HAT, ds.region
         )
-        pino_stats = measure_pinocchio_pruning(ds.users, ds.abstract_facilities, tau, _pf())
+        pino_stats = measure_pinocchio_pruning(ds.arena, ds.abstract_facilities, tau, _pf())
         rows.append(
             {
                 "dataset": kind,
@@ -146,7 +146,7 @@ def table2_index_build() -> List[Dict]:
     for kind in ("C", "N"):
         ds = datasets.dataset(kind, n_candidates=100, n_facilities=200)
         t0 = time.perf_counter()
-        IQuadTree(ds.users, DEFAULT_D_HAT, DEFAULT_TAU, _pf(), ds.region)
+        IQuadTree(ds.arena, DEFAULT_D_HAT, DEFAULT_TAU, _pf(), ds.region)
         iq_elapsed = time.perf_counter() - t0
         n_positions = ds.n_positions
         t0 = time.perf_counter()

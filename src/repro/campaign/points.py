@@ -49,7 +49,7 @@ def build_solver(name: str) -> Solver:
 def _x_values(dataset, point: RunPoint) -> Dict[str, Any]:
     """Realized axis values the aggregator can pivot on."""
     x: Dict[str, Any] = {
-        "users": len(dataset.users),
+        "users": len(dataset.arena),
         "candidates": len(dataset.candidates),
         "facilities": len(dataset.facilities),
         "tau": point.tau,

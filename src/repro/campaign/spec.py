@@ -149,8 +149,8 @@ class DatasetAxis:
             kwargs["n_facilities"] = self.n_facilities
         ds = bench_datasets.dataset(self.kind, **kwargs)
         if self.users_frac is not None and self.users_frac < 1.0:
-            n = max(1, int(len(ds.users) * self.users_frac))
-            if n < len(ds.users):
+            n = max(1, int(len(ds.arena) * self.users_frac))
+            if n < len(ds.arena):
                 ds = ds.subsample_users(n, seed=self.users_seed)
         if self.r is not None:
             ds = ds.subsample_positions(self.r, seed=self.r_seed)

@@ -53,8 +53,8 @@ class SiteUtilities:
     """Cumulative-influence utilities of every site for every user.
 
     Args:
-        dataset: Supplies the users' position histories and the site
-            coordinates (candidates and existing facilities).
+        dataset: Supplies the users' position histories (its arena) and
+            the site coordinates (candidates and existing facilities).
         pf: Distance-decay probability function.
 
     Per-user utility vectors are computed lazily (one vectorized pass
@@ -64,7 +64,8 @@ class SiteUtilities:
     """
 
     def __init__(self, dataset: SpatialDataset, pf: ProbabilityFunction) -> None:
-        self._users = {u.uid: u for u in dataset.users}
+        self._arena = dataset.arena
+        self._rows = dict(zip(self._arena.uids.tolist(), range(len(self._arena))))
         self._pf = pf
         candidates = list(dataset.candidates)
         facilities = list(dataset.facilities)
@@ -84,10 +85,10 @@ class SiteUtilities:
         cached = self._cache.get(uid)
         if cached is not None:
             return cached
-        user = self._users.get(uid)
-        if user is None:
+        row = self._rows.get(uid)
+        if row is None:
             raise CaptureError(f"utilities requested for unknown user {uid}")
-        pos = user.positions  # (r, 2)
+        pos = self._arena.row(row)  # (r, 2)
         if self._xy.shape[0] == 0:
             out = np.zeros(0, dtype=np.float64)
         else:

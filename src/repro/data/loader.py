@@ -15,15 +15,17 @@ distinct locations from real points of interest".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..entities import MovingUser, SpatialDataset, candidate, existing
 from ..exceptions import DataError
 from ..geo import EquirectangularProjection
+from ..influence import PositionArena
+from .synthetic import UserPopulation
 
 
 @dataclass(frozen=True)
@@ -54,36 +56,12 @@ CALIFORNIA_BOX = LatLonBox(32.30, -124.50, 42.10, -114.10)
 """The California bounding box used to carve dataset C."""
 
 
-@dataclass
-class CheckinData:
+@dataclass(frozen=True)
+class CheckinData(UserPopulation):
     """Parsed check-ins: per-user positions (km-space) and the POI pool."""
 
-    users: Tuple[MovingUser, ...]
-    pois: np.ndarray
     projection: EquirectangularProjection
-
-    def dataset(
-        self,
-        n_candidates: int,
-        n_facilities: int,
-        seed: int = 0,
-        name: str = "checkins",
-    ) -> SpatialDataset:
-        """Sample disjoint candidates and facilities from the POI pool."""
-        needed = n_candidates + n_facilities
-        if needed > self.pois.shape[0]:
-            raise DataError(f"need {needed} POIs, pool holds {self.pois.shape[0]}")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(self.pois.shape[0], size=needed, replace=False)
-        cands = [
-            candidate(i, float(self.pois[j, 0]), float(self.pois[j, 1]))
-            for i, j in enumerate(idx[:n_candidates])
-        ]
-        facs = [
-            existing(i, float(self.pois[j, 0]), float(self.pois[j, 1]))
-            for i, j in enumerate(idx[n_candidates:])
-        ]
-        return SpatialDataset.build(list(self.users), facs, cands, name=name)
+    default_name: ClassVar[str] = "checkins"
 
 
 def load_checkins(
@@ -128,6 +106,8 @@ def load_checkins(
                 continue  # SNAP dumps use (0, 0) for missing fixes
             if bbox is not None and not bbox.contains(lat, lon):
                 continue
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise DataError(f"{path}:{line_no}: non-finite coordinate")
             raw_positions.setdefault(uid, []).append((lat, lon))
             poi_latlon.setdefault(parts[4], (lat, lon))
     survivors = {
@@ -143,9 +123,11 @@ def load_checkins(
         [p for positions in survivors.values() for p in positions], dtype=float
     )
     projection = EquirectangularProjection.centered_on(all_latlon)
-    users = []
-    for new_uid, uid in enumerate(sorted(survivors)):
-        latlon = np.array(survivors[uid], dtype=float)
-        users.append(MovingUser(new_uid, projection.to_xy_array(latlon)))
+    uids = sorted(survivors)
+    lens = np.array([len(survivors[uid]) for uid in uids], dtype=np.int64)
+    flat = projection.to_xy_array(np.array([p for uid in uids for p in survivors[uid]]))
+    flat.setflags(write=False)
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    arena = PositionArena(flat, offsets, np.arange(len(uids), dtype=np.int64))
     pois = projection.to_xy_array(np.array(list(poi_latlon.values()), dtype=float))
-    return CheckinData(tuple(users), pois, projection)
+    return CheckinData(arena, pois, projection)

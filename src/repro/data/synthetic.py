@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import cached_property
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from ..entities import MovingUser, SpatialDataset, candidate, existing
+from ..entities.user import user_views
 from ..exceptions import DataError
+from ..influence import PositionArena
 
 # Expected range (max - min) of n standard-normal draws, E[R_n] ~ 2 * E[max].
 # Used to back out the per-user position spread from a target MBR size.
@@ -83,21 +86,27 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class SyntheticPopulation:
-    """A generated user population plus its POI pool."""
+class UserPopulation:
+    """Users packed once in an arena plus a POI pool for site sampling."""
 
-    users: Tuple[MovingUser, ...]
+    arena: PositionArena
     pois: np.ndarray  # (n_pois, 2)
-    spec: SyntheticSpec
+    default_name: ClassVar[str] = "synthetic"
+
+    @cached_property
+    def users(self) -> Tuple[MovingUser, ...]:
+        """The users as :class:`MovingUser` views (built on first read)."""
+        return user_views(self.arena)
 
     def dataset(
         self,
         n_candidates: int,
         n_facilities: int,
         seed: int = 0,
-        name: str = "synthetic",
+        name: Optional[str] = None,
     ) -> SpatialDataset:
-        """Sample disjoint candidate and facility sets from the POI pool."""
+        """Sample disjoint candidates and facilities from the POI pool (the
+        dataset shares this population's arena)."""
         needed = n_candidates + n_facilities
         if needed > self.pois.shape[0]:
             raise DataError(
@@ -105,15 +114,22 @@ class SyntheticPopulation:
             )
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.pois.shape[0], size=needed, replace=False)
-        cands = [
+        cands = tuple(
             candidate(i, float(self.pois[j, 0]), float(self.pois[j, 1]))
             for i, j in enumerate(idx[:n_candidates])
-        ]
-        facs = [
+        )
+        facs = tuple(
             existing(i, float(self.pois[j, 0]), float(self.pois[j, 1]))
             for i, j in enumerate(idx[n_candidates:])
-        ]
-        return SpatialDataset.build(list(self.users), facs, cands, name=name)
+        )
+        return SpatialDataset(self.arena, facs, cands, name or self.default_name)
+
+
+@dataclass(frozen=True)
+class SyntheticPopulation(UserPopulation):
+    """A generated population (uid = arena row) plus its POI pool."""
+
+    spec: SyntheticSpec
 
 
 def _draw_position_counts(
@@ -160,7 +176,10 @@ def generate_population(spec: SyntheticSpec, seed: int = 0) -> SyntheticPopulati
             return rng.uniform(0.05 * side, 0.95 * side, size=(n, 2))
 
     centers = np.clip(draw_centers(spec.n_users), 0.0, side)
-    users: List[MovingUser] = []
+    # The counts are drawn up front, so each user is written straight into
+    # its arena row: no per-user arrays are kept and packed afterwards.
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flat = np.empty((int(offsets[-1]), 2))
     for uid in range(spec.n_users):
         r = int(counts[uid])
         # Check-in realism: each user frequents a few favourite venues
@@ -173,12 +192,14 @@ def generate_population(spec: SyntheticSpec, seed: int = 0) -> SyntheticPopulati
         preferences = rng.dirichlet(np.full(n_venues, 0.8))
         visit = rng.choice(n_venues, size=r, p=preferences)
         pos = venues[visit] + rng.normal(0.0, spec.venue_jitter, size=(r, 2))
-        users.append(MovingUser(uid, np.clip(pos, 0.0, side)))
+        np.clip(pos, 0.0, side, out=flat[offsets[uid] : offsets[uid + 1]])
+    flat.setflags(write=False)
 
     # POIs follow the same spatial law as users — facilities gather where
     # customers appear (the paper's observation on dataset N).
     pois = np.clip(draw_centers(spec.n_pois), 0.0, side)
-    return SyntheticPopulation(tuple(users), pois, spec)
+    arena = PositionArena(flat, offsets, np.arange(spec.n_users, dtype=np.int64))
+    return SyntheticPopulation(arena, pois, spec)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Problem-instance container: users, competitors and candidates together.
 
 A :class:`SpatialDataset` bundles the three entity collections of an MC²LS
-instance plus derived quantities every solver needs (region MBR, maximum
-position count ``r_max``, the packed position arena), each derived on
-first read and cached.  Datasets are immutable after construction;
-experiment sweeps derive new datasets via the ``with_*`` / ``subsample``
-methods instead of mutating shared state.
+instance.  The users are held once, in a :class:`~repro.influence.PositionArena`
+that every production path reads; ``users`` (:class:`MovingUser` views
+for the oracle, statistics and figures), the region MBR and ``r_max``
+are derived on first read and cached.  Datasets are immutable after
+construction; experiment sweeps derive new datasets via the ``with_*`` /
+``subsample`` methods instead of mutating shared state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +21,7 @@ from ..exceptions import DataError
 from ..geo import Rect
 from ..influence.batch import PositionArena
 from .facility import AbstractFacility, FacilityKind
-from .user import MovingUser
+from .user import MovingUser, user_views
 
 
 @dataclass(frozen=True)
@@ -27,20 +29,18 @@ class SpatialDataset:
     """An immutable MC²LS problem instance (without k / τ / PF).
 
     Attributes:
-        users: The moving-user population ``Ω``.
+        arena: The moving-user population ``Ω``, one arena row per user.
         facilities: Existing competitor facilities ``F``.
         candidates: Candidate locations ``C``.
         name: Human-readable label used in benchmark output.
     """
 
-    users: tuple[MovingUser, ...]
+    arena: PositionArena
     facilities: tuple[AbstractFacility, ...]
     candidates: tuple[AbstractFacility, ...]
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        if not self.users:
-            raise DataError("a dataset needs at least one user")
         for f in self.facilities:
             if f.kind is not FacilityKind.EXISTING:
                 raise DataError(f"facility {f.fid} is not of kind EXISTING")
@@ -48,7 +48,6 @@ class SpatialDataset:
             if c.kind is not FacilityKind.CANDIDATE:
                 raise DataError(f"candidate {c.fid} is not of kind CANDIDATE")
         for label, ids in (
-            ("user", [u.uid for u in self.users]),
             ("facility", [f.fid for f in self.facilities]),
             ("candidate", [c.fid for c in self.candidates]),
         ):
@@ -58,63 +57,46 @@ class SpatialDataset:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
+    @cached_property
+    def users(self) -> tuple[MovingUser, ...]:
+        """The users as :class:`MovingUser` views of the arena rows (a Python
+        object per user; production paths read :attr:`arena` instead)."""
+        return user_views(self.arena)
+
+    @cached_property
     def region(self) -> Rect:
         """MBR of everything in the dataset (users and facilities).
 
         Derived on first read from the position arena (one min/max pass)
         and the facility and candidate points, then cached.
         """
-        cached = getattr(self, "_region", None)
-        if cached is None:
-            positions = self.arena.positions
-            sites = [[v.x, v.y] for v in self.abstract_facilities]
-            cached = Rect.from_array(np.vstack((
-                positions.min(axis=0),
-                positions.max(axis=0),
-                np.array(sites, dtype=np.float64).reshape(-1, 2),
-            )))
-            object.__setattr__(self, "_region", cached)
-        return cached
+        positions = self.arena.positions
+        sites = [[v.x, v.y] for v in self.abstract_facilities]
+        return Rect.from_array(np.vstack((
+            positions.min(axis=0),
+            positions.max(axis=0),
+            np.array(sites, dtype=np.float64).reshape(-1, 2),
+        )))
 
-    @property
+    @cached_property
     def r_max(self) -> int:
         """Maximum position count over all users (drives ``NIR``)."""
-        cached = getattr(self, "_r_max", None)
-        if cached is None:
-            cached = int(self.arena.lengths().max())
-            object.__setattr__(self, "_r_max", cached)
-        return cached
+        return int(self.arena.lengths().max())
 
     @property
     def n_positions(self) -> int:
         """Total number of recorded positions across all users."""
-        return sum(u.r for u in self.users)
+        return self.arena.n_positions
 
     @property
     def abstract_facilities(self) -> tuple[AbstractFacility, ...]:
         """All abstract facilities ``C ∪ F`` (candidates first)."""
         return self.candidates + self.facilities
 
-    @property
-    def arena(self) -> PositionArena:
-        """CSR packing of all users' positions, built lazily and cached.
-
-        The batched verification kernel
-        (:class:`repro.influence.BatchInfluenceEvaluator`) reads user
-        segments out of this arena; derived datasets (``with_*`` /
-        ``subsample_*``) build their own.
-        """
-        cached = getattr(self, "_arena", None)
-        if cached is None:
-            cached = PositionArena.from_users(self.users)
-            object.__setattr__(self, "_arena", cached)
-        return cached
-
     def describe(self) -> str:
         """One-line summary used by benchmark reports."""
         return (
-            f"{self.name}: |Ω|={len(self.users)} positions={self.n_positions} "
+            f"{self.name}: |Ω|={len(self.arena)} positions={self.n_positions} "
             f"|F|={len(self.facilities)} |C|={len(self.candidates)} "
             f"region={self.region.width:.1f}x{self.region.height:.1f} km"
         )
@@ -124,59 +106,52 @@ class SpatialDataset:
     # ------------------------------------------------------------------
     def with_users(self, users: Iterable[MovingUser]) -> "SpatialDataset":
         """Return a copy with a different user population."""
-        return SpatialDataset(tuple(users), self.facilities, self.candidates, self.name)
+        return SpatialDataset.build(users, self.facilities, self.candidates, self.name)
 
     def with_candidates(self, candidates: Iterable[AbstractFacility]) -> "SpatialDataset":
         """Return a copy with a different candidate set."""
-        return SpatialDataset(self.users, self.facilities, tuple(candidates), self.name)
+        return SpatialDataset(self.arena, self.facilities, tuple(candidates), self.name)
 
     def with_facilities(self, facilities: Iterable[AbstractFacility]) -> "SpatialDataset":
         """Return a copy with a different competitor set."""
-        return SpatialDataset(self.users, tuple(facilities), self.candidates, self.name)
+        return SpatialDataset(self.arena, tuple(facilities), self.candidates, self.name)
 
     def subsample_users(self, n: int, seed: int = 0) -> "SpatialDataset":
         """Return a copy keeping ``n`` users sampled without replacement."""
-        if not 1 <= n <= len(self.users):
-            raise DataError(f"cannot sample {n} of {len(self.users)} users")
+        if not 1 <= n <= len(self.arena):
+            raise DataError(f"cannot sample {n} of {len(self.arena)} users")
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(self.users), size=n, replace=False)
-        return self.with_users(self.users[i] for i in np.sort(idx))
+        idx = rng.choice(len(self.arena), size=n, replace=False)
+        return SpatialDataset(
+            self.arena.take(np.sort(idx)), self.facilities, self.candidates, self.name
+        )
 
     def subsample_positions(self, r: int, seed: int = 0) -> "SpatialDataset":
         """Keep users with at least ``r`` positions, sampled down to ``r``.
 
         This mirrors the paper's "effect of r" protocol (Figs. 15–16):
         choose users with over ``r`` positions and randomly sample exactly
-        ``r`` from each.
+        ``r`` from each, one ``rng.choice`` per kept row in row order.
         """
         rng = np.random.default_rng(seed)
-        kept = [u.subsampled(r, rng) for u in self.users if u.r >= r]
-        if not kept:
-            raise DataError(f"no user has >= {r} positions")
-        return self.with_users(kept)
+        rows = np.flatnonzero(self.arena.lengths() >= r).tolist()
+        if r < 1 or not rows:
+            raise DataError(f"no user has >= {r} positions to sample")
+        picked = [self.arena.row(i) for i in rows]
+        picked = [p[np.sort(rng.choice(len(p), size=r, replace=False))] for p in picked]
+        flat = np.concatenate(picked)
+        flat.setflags(write=False)
+        kept = PositionArena(flat, np.arange(len(rows) + 1) * r, self.arena.uids[rows])
+        return SpatialDataset(kept, self.facilities, self.candidates, self.name)
 
     @staticmethod
     def build(
-        users: Sequence[MovingUser],
+        users: Iterable[MovingUser],
         facilities: Sequence[AbstractFacility],
         candidates: Sequence[AbstractFacility],
         name: str = "dataset",
-        arena: PositionArena | None = None,
     ) -> "SpatialDataset":
-        """Convenience constructor accepting any sequences.
-
-        ``arena``, when given, becomes the dataset's :attr:`arena`; it
-        must equal ``PositionArena.from_users(users)`` (the streaming
-        session splices its previous one instead of repacking).  Its uids
-        are checked against the users' row by row; its positions are
-        trusted.
-        """
-        dataset = SpatialDataset(tuple(users), tuple(facilities), tuple(candidates), name)
-        if arena is not None:
-            uids = np.fromiter(
-                (u.uid for u in dataset.users), dtype=np.int64, count=len(dataset.users)
-            )
-            if not np.array_equal(arena.uids, uids):
-                raise DataError("arena rows do not match the users")
-            object.__setattr__(dataset, "_arena", arena)
-        return dataset
+        """Pack ``users`` once into an arena, in the given order, and wrap it."""
+        return SpatialDataset(
+            PositionArena.from_users(users), tuple(facilities), tuple(candidates), name
+        )

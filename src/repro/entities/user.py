@@ -8,7 +8,8 @@ multiset with an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,6 @@ class MovingUser:
 
     uid: int
     positions: np.ndarray
-    _mbr: Rect = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)
@@ -43,30 +43,17 @@ class MovingUser:
         pos = np.ascontiguousarray(pos)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "_mbr", Rect.from_array(pos))
 
     @property
     def r(self) -> int:
         """Number of recorded positions."""
         return self.positions.shape[0]
 
-    @property
+    @cached_property
     def mbr(self) -> Rect:
-        """Minimum bounding rectangle of the user's positions (cached)."""
-        return self._mbr
-
-    def subsampled(self, r: int, rng: np.random.Generator) -> "MovingUser":
-        """Return a copy keeping ``r`` positions sampled without replacement.
-
-        Used by the "effect of r" experiments (Figs. 15–16), which fix the
-        user population and vary how many positions each user contributes.
-        """
-        if not 1 <= r <= self.r:
-            raise DataError(
-                f"user {self.uid}: cannot sample {r} of {self.r} positions"
-            )
-        idx = rng.choice(self.r, size=r, replace=False)
-        return MovingUser(self.uid, self.positions[np.sort(idx)])
+        """Minimum bounding rectangle of the user's positions (computed on
+        first read, then cached)."""
+        return Rect.from_array(self.positions)
 
     def __hash__(self) -> int:
         return hash(self.uid)
@@ -75,3 +62,8 @@ class MovingUser:
         if not isinstance(other, MovingUser):
             return NotImplemented
         return self.uid == other.uid
+
+
+def user_views(arena) -> tuple[MovingUser, ...]:
+    """One :class:`MovingUser` per arena row, its positions a view of the row."""
+    return tuple(MovingUser(uid, arena.row(i)) for i, uid in enumerate(arena.uids.tolist()))

@@ -84,6 +84,8 @@ class PositionArena:
         self.uids = uids
         if offsets.shape[0] != uids.shape[0] + 1:
             raise DataError("arena offsets must have one entry per user plus one")
+        if uids.shape[0] == 0:
+            raise DataError("cannot build an arena over zero users")
 
     def __len__(self) -> int:
         return self.uids.shape[0]
@@ -144,9 +146,23 @@ class PositionArena:
         # ``take`` gathers whole rows several times faster than fancy indexing.
         return self.positions.take(idx, axis=0), lens
 
+    def row(self, i: int) -> np.ndarray:
+        """The ``(r, 2)`` positions of row ``i`` (a read-only view)."""
+        return self.positions[self.offsets[i] : self.offsets[i + 1]]
+
+    def take(self, rows: np.ndarray) -> "PositionArena":
+        """A new arena over ``rows`` of this one, in ``rows`` order."""
+        flat, lens = self.gather(rows)
+        flat.setflags(write=False)
+        return PositionArena(flat, np.concatenate(([0], np.cumsum(lens))), self.uids[rows])
+
     @staticmethod
     def from_users(users: Sequence) -> "PositionArena":
-        """Pack objects exposing ``.uid`` and ``.positions`` (``(r, 2)``)."""
+        """Pack objects exposing ``.uid`` and ``.positions`` (``(r, 2)``).
+
+        Raises:
+            DataError: On zero users or a duplicate uid.
+        """
         users = list(users)
         if not users:
             raise DataError("cannot build an arena over zero users")
@@ -156,6 +172,8 @@ class PositionArena:
         flat = np.concatenate(arrays, dtype=np.float64)
         flat.setflags(write=False)
         uids = np.fromiter((u.uid for u in users), dtype=np.int64, count=len(users))
+        if not _strictly_ascending(uids) and np.unique(uids).size != uids.size:
+            raise DataError("duplicate user ids in arena")
         return PositionArena(flat, offsets, uids)
 
     def spliced(self, stale_uids: Sequence[int], users: Sequence) -> "PositionArena":
@@ -184,8 +202,6 @@ class PositionArena:
         keep = np.ones(len(self), dtype=bool)
         keep[dropped] = False
         kept_uids = self.uids[keep]
-        if kept_uids.size + new_uids.size == 0:
-            raise DataError("cannot build an arena over zero users")
         at = np.searchsorted(kept_uids, new_uids)
         uids = np.insert(kept_uids, at, new_uids)
         if not _strictly_ascending(uids):

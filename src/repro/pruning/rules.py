@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -336,13 +336,13 @@ def prune_and_verify(
 # Rule-level measurement helpers (Fig. 8 compares these head-to-head)
 # ----------------------------------------------------------------------
 def measure_pinocchio_pruning(
-    users: Sequence[MovingUser],
+    users: Union[PositionArena, Sequence[MovingUser]],
     facilities: Sequence[AbstractFacility],
     tau: float,
     pf: ProbabilityFunction,
 ) -> PruningStats:
     """Classify all (facility, user) pairs with IA/NIB and return the stats."""
-    arena = PositionArena.from_users(users)
+    arena = users if isinstance(users, PositionArena) else PositionArena.from_users(users)
     fx = np.array([f.x for f in facilities], dtype=np.float64)
     fy = np.array([f.y for f in facilities], dtype=np.float64)
     stats = PruningStats()
@@ -352,7 +352,7 @@ def measure_pinocchio_pruning(
 
 
 def measure_iquadtree_pruning(
-    users: Sequence[MovingUser],
+    users: Union[PositionArena, Sequence[MovingUser]],
     facilities: Sequence[AbstractFacility],
     tau: float,
     pf: ProbabilityFunction,

@@ -283,7 +283,7 @@ class SelectionEngine:
         entries = self._prepared.entries_for(old.content_hash)
         if not entries:
             return
-        n_users = len(snapshot.dataset.users)
+        n_users = len(snapshot.arena)
         if (
             delta is None
             or delta.parent_hash != old.content_hash

@@ -1,9 +1,9 @@
 """Immutable, content-hashed dataset snapshots for the serving engine.
 
 A :class:`DatasetSnapshot` pins down *one version* of a user/facility
-population: the wrapped :class:`~repro.entities.SpatialDataset` and its
-eagerly built position arena (the CSR packing the batched verification
-kernel reads).  The content hash covers every coordinate and id in the
+population: the wrapped :class:`~repro.entities.SpatialDataset`, whose
+position arena is the CSR packing the batched verification kernel
+reads.  The content hash covers every coordinate and id in the
 dataset, so two snapshots with equal hashes are interchangeable for any
 query — which is exactly the property the engine's caches key on: a
 republished population gets a new hash, and entries computed under the
@@ -86,9 +86,8 @@ class DatasetSnapshot:
             publication when left at 0).
         label: Human-readable tag for logs and stats.
 
-    Construction eagerly builds the dataset's position arena (the content
-    hash is packed off it) so the cost is paid once at publication rather
-    than inside the first query.
+    The content hash is computed at construction, so its cost is paid
+    once at publication rather than inside the first query.
     """
 
     def __init__(

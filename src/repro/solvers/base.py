@@ -369,8 +369,8 @@ def resolve_all_pairs(
         sets, keyed by id, counted by the full-scan evaluator.
     """
     omega_c: Dict[int, Set[int]] = {}
-    f_o: Dict[int, Set[int]] = {u.uid: set() for u in dataset.users}
     arena = dataset.arena
+    f_o: Dict[int, Set[int]] = {uid: set() for uid in arena.uids.tolist()}
     batch = BatchInfluenceEvaluator(pf, tau, early_stopping=False)
     for c in dataset.candidates:
         hit = batch.influences_users(c.x, c.y, arena)

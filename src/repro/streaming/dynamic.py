@@ -4,6 +4,10 @@ Check-in populations are not static: users appear, accumulate positions
 and churn away.  The session keeps one resolved influence table and
 brings it up to date *lazily*:
 
+* **population**: the position arena of the last ``current_dataset``
+  (ascending uids) plus the events since (uid → new user, or removed);
+  ``current_dataset`` splices only those rows, so a publish does no
+  Python work for the untouched users;
 * **events** (``add_user``, ``remove_user``, ``update_user``) only
   record the user and mark its uid — no influence work;
 * **reads** (``table``, ``current_selection``) first bring the table up
@@ -87,9 +91,6 @@ class DeltaLog:
     def __len__(self) -> int:
         return len(self.added) + len(self.removed) + len(self.updated)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class StreamingMC2LS:
     """A live MC²LS session over fixed facilities and a streaming user set.
@@ -125,8 +126,12 @@ class StreamingMC2LS:
         self.pf = pf or paper_default_pf()
         self.facilities = tuple(facilities)
         self.candidates = tuple(candidates)
-        self._users: Dict[int, MovingUser] = {}
         self.events_processed = 0
+        # The last ``current_dataset`` (arena in ascending uid order), the
+        # events since (uid -> new user, ``None`` when removed), and |Ω|.
+        self._dataset: Optional[SpatialDataset] = None
+        self._pending: Dict[int, Optional[MovingUser]] = {}
+        self._count = 0
         # Net churn since the last drained snapshot: uid -> "added" |
         # "removed" | "updated" (collapsed per the DeltaLog semantics).
         self._dirty: Dict[int, str] = {}
@@ -135,10 +140,6 @@ class StreamingMC2LS:
         # and the uids whose rows it may have wrong since then.
         self._resolved: Optional[ResolvedInstance] = None
         self._touched: Set[int] = set()
-        # The dataset of the last ``current_dataset`` call, and the uids
-        # whose arena rows it may have wrong since then.
-        self._dataset: Optional[SpatialDataset] = None
-        self._stale: Set[int] = set()
 
     def _empty_resolution(self) -> ResolvedInstance:
         return ResolvedInstance(
@@ -149,10 +150,37 @@ class StreamingMC2LS:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._users)
+        return self._count
+
+    def _base_row(self, uid: int) -> int:
+        """Row of ``uid`` in the last dataset's arena, ``-1`` if absent."""
+        if self._dataset is None:
+            return -1
+        uids = self._dataset.arena.uids
+        row = int(np.searchsorted(uids, uid))
+        return row if row < uids.size and uids[row] == uid else -1
 
     def __contains__(self, uid: int) -> bool:
-        return uid in self._users
+        if uid in self._pending:
+            return self._pending[uid] is not None
+        return self._base_row(uid) >= 0
+
+    def uids(self) -> np.ndarray:
+        """The ids of the live users, ascending (a fresh ``int64`` array)."""
+        base = np.empty(0, np.int64) if self._dataset is None else self._dataset.arena.uids
+        pending = np.fromiter(self._pending, dtype=np.int64, count=len(self._pending))
+        kept = base[~np.isin(base, pending)]
+        live = np.sort(pending[[user is not None for user in self._pending.values()]])
+        return np.insert(kept, np.searchsorted(kept, live), live)
+
+    def user(self, uid: int) -> MovingUser:
+        """The live user ``uid``; raises ``SolverError`` when absent."""
+        uid = int(uid)
+        row = -1 if uid in self._pending else self._base_row(uid)
+        user = self._pending.get(uid) if row < 0 else MovingUser(uid, self._dataset.arena.row(row))
+        if user is None:
+            raise SolverError(f"user {uid} not present")
+        return user
 
     def table(self) -> InfluenceTable:
         """The influence relationships of the live population.
@@ -164,15 +192,15 @@ class StreamingMC2LS:
         or patch raises, the cache and the touched uids are left as they
         were and the next read retries.
         """
-        if not self._users:
+        if not self._count:
             self._resolved = self._empty_resolution()
             self._touched.clear()
         elif self._resolved is None:
             self._resolved = self._resolve_all()
             self._touched.clear()
         elif self._touched:
-            present = tuple(sorted(u for u in self._touched if u in self._users))
-            absent = tuple(sorted(u for u in self._touched if u not in self._users))
+            present = tuple(sorted(u for u in self._touched if u in self))
+            absent = tuple(sorted(u for u in self._touched if u not in self))
             self._resolved, _ = patch_resolution(
                 self._resolved, self.current_dataset(), present, absent,
                 self.tau, self.pf,
@@ -220,48 +248,47 @@ class StreamingMC2LS:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def _record(self, uid: int) -> None:
+    def _record(self, uid: int, user: Optional[MovingUser]) -> None:
+        self._pending[uid] = user
         self._touched.add(uid)
-        self._stale.add(uid)
         self.events_processed += 1
 
     def add_user(self, user: MovingUser) -> None:
         """Process an arrival."""
-        if user.uid in self._users:
+        if user.uid in self:
             raise SolverError(f"user {user.uid} already present")
-        self._users[user.uid] = user
+        self._count += 1
         # Delta collapse: a user removed since the mark re-appearing means
         # "present at both ends, history suspect" — i.e. updated.
         if self._dirty.get(user.uid) == "removed":
             self._dirty[user.uid] = "updated"
         else:
             self._dirty[user.uid] = "added"
-        self._record(user.uid)
+        self._record(user.uid, user)
 
     def remove_user(self, uid: int) -> MovingUser:
         """Process a departure; returns the removed user."""
-        user = self._users.pop(uid, None)
-        if user is None:
-            raise SolverError(f"user {uid} not present")
+        uid = int(uid)
+        user = self.user(uid)
+        self._count -= 1
         # Delta collapse: a user added since the mark and removed again
         # nets out to nothing relative to the parent snapshot.
         if self._dirty.get(uid) == "added":
             del self._dirty[uid]
         else:
             self._dirty[uid] = "removed"
-        self._record(uid)
+        self._record(uid, None)
         return user
 
     def update_user(self, user: MovingUser) -> None:
         """Replace the position history of a present user (one event)."""
-        if user.uid not in self._users:
+        if user.uid not in self:
             raise SolverError(f"user {user.uid} not present")
-        self._users[user.uid] = user
         # A user added since the mark stays "added"; otherwise its
         # history changed under the parent snapshot.
         if self._dirty.get(user.uid) != "added":
             self._dirty[user.uid] = "updated"
-        self._record(user.uid)
+        self._record(user.uid, user)
 
     # ------------------------------------------------------------------
     # Queries
@@ -277,28 +304,25 @@ class StreamingMC2LS:
 
         The position arena is spliced from the previous call's
         (:meth:`~repro.influence.PositionArena.spliced`): untouched rows
-        are kept by slice and only the users touched since are packed, so
-        a publish pays ``O(churn)`` Python work for it.  It equals
+        are kept by slice and only the users with an event since are
+        packed, so a publish does ``O(churn)`` Python work.  It equals
         :meth:`~repro.influence.PositionArena.from_users` bit for bit.
         With no event since the previous call, that dataset is returned.
         """
-        if not self._users:
+        if not self._count:
             raise SolverError("no users in the session")
-        if self._dataset is not None and not self._stale:
+        if self._dataset is not None and not self._pending:
             return self._dataset
-        users = [self._users[uid] for uid in sorted(self._users)]
+        stale = sorted(self._pending)
+        users = [self._pending[u] for u in stale if self._pending[u] is not None]
         if self._dataset is None:
             arena = PositionArena.from_users(users)
         else:
-            stale = sorted(self._stale)
-            arena = self._dataset.arena.spliced(
-                stale, [self._users[u] for u in stale if u in self._users]
-            )
-        self._dataset = SpatialDataset.build(
-            users, self.facilities, self.candidates,
-            name="streaming-snapshot", arena=arena,
+            arena = self._dataset.arena.spliced(stale, users)
+        self._dataset = SpatialDataset(
+            arena, self.facilities, self.candidates, "streaming-snapshot"
         )
-        self._stale.clear()
+        self._pending.clear()
         return self._dataset
 
     def snapshot(self, label: str = ""):
@@ -328,6 +352,13 @@ class StreamingMC2LS:
         session = StreamingMC2LS(
             dataset.facilities, dataset.candidates, k=k, tau=tau, pf=pf
         )
-        for user in dataset.users:
-            session.add_user(user)
+        arena = dataset.arena
+        if not np.all(arena.uids[1:] > arena.uids[:-1]):
+            arena = arena.take(np.argsort(arena.uids, kind="stable"))
+        session._dataset = SpatialDataset(
+            arena, session.facilities, session.candidates, "streaming-snapshot"
+        )
+        session._count = len(arena)
+        session.events_processed = len(arena)
+        session._dirty = dict.fromkeys(arena.uids.tolist(), "added")
         return session

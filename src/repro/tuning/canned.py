@@ -45,9 +45,9 @@ def jitter_users(session: Any, n_moves: int, seed: int) -> None:
     replay.
     """
     rng = np.random.default_rng(seed)
-    uids = sorted(session._users)
+    uids = session.uids()
     for uid in rng.choice(uids, size=min(n_moves, len(uids)), replace=False):
-        user = session._users[int(uid)]
+        user = session.user(uid)
         moved = user.positions + rng.normal(0.0, 0.5, user.positions.shape)
         session.update_user(MovingUser(int(uid), moved))
 
@@ -81,7 +81,7 @@ def _bursty(recorder: TraceRecorder) -> None:
 
 def _churn(recorder: TraceRecorder, session: Any, seed: int) -> None:
     """Query bursts separated by deterministic republishes."""
-    n_users = len(session._users)
+    n_users = len(session)
     moves = max(4, n_users // 20)
     for pass_no in range(3):
         if pass_no:

@@ -7,11 +7,14 @@ phases account for the round.  The smoke run writes to a temporary path
 so the committed ``BENCH_streaming_publish.json`` is not overwritten.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +44,23 @@ def test_smoke_patched_equals_fresh(tmp_path):
     assert payload["benchmark"] == "streaming_publish"
     assert payload["repeats"] == 3
     _check_side(payload["sides"]["change"])
+
+
+def test_failed_worker_reports_its_stderr(tmp_path):
+    """A worker that dies on its ``src`` names the cause, not just a code."""
+    broken = tmp_path / "src" / "repro"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text(
+        "raise ImportError('repro is broken on this side')\n"
+    )
+    spec = importlib.util.spec_from_file_location(
+        "bench_streaming_publish", REPO_ROOT / "benchmarks" / "bench_streaming_publish.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    with pytest.raises(RuntimeError, match="exited with code 1") as info:
+        bench._worker(tmp_path / "src", seed=1, rounds=1, smoke=True)
+    assert "ImportError: repro is broken on this side" in str(info.value)
 
 
 def test_committed_record_is_full_scale():

@@ -154,9 +154,9 @@ class TestStreamingRepublish:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        uids = sorted(session._users)[:3]
+        uids = session.uids().tolist()[:3]
         for uid in uids:
-            user = session._users[uid]
+            user = session.user(uid)
             session.update_user(
                 MovingUser(uid, user.positions + rng.normal(0, 0.4, user.positions.shape))
             )

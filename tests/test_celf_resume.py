@@ -374,9 +374,11 @@ def _user(uid, rng):
     return MovingUser(uid, rng.normal(0.0, 5.0, (int(rng.integers(1, 6)), 2)))
 
 
-def assert_arena_matches(session):
+def assert_arena_matches(session, live):
+    """The session's dataset packs exactly ``live`` (uid -> user), in uid order."""
     dataset = session.current_dataset()
-    want = PositionArena.from_users(dataset.users)
+    users = [live[uid] for uid in sorted(live)]
+    want = PositionArena.from_users(users)
     got = dataset.arena
     assert got.positions.dtype == want.positions.dtype
     assert got.positions.shape == want.positions.shape
@@ -386,7 +388,7 @@ def assert_arena_matches(session):
     assert got.uids.dtype == want.uids.dtype
     assert np.array_equal(got.uids, want.uids)
     assert not got.positions.flags.writeable
-    fresh = dataset.with_users(dataset.users)
+    fresh = dataset.with_users(users)
     assert dataset_content_hash(dataset) == dataset_content_hash(fresh)
     return dataset
 
@@ -401,31 +403,39 @@ class TestSplicedArena:
         base = edge_dataset()
         rng = np.random.default_rng(seed)
         session = StreamingMC2LS(base.facilities, base.candidates, k=1)
+        live = {}
         for user in base.users:
             session.add_user(user)
-        assert_arena_matches(session)
+            live[user.uid] = user
+        assert_arena_matches(session, live)
         gone = {}
         next_uid = 100
         for n_events in steps:
             for _ in range(n_events):
                 op = int(rng.integers(0, 4))
-                present = sorted(session._users)
+                present = session.uids().tolist()
                 if op == 0 and len(present) > 1:
                     uid = int(rng.choice(present))
                     gone[uid] = session.remove_user(uid)
+                    del live[uid]
                 elif op == 1 and gone:
                     uid = sorted(gone)[int(rng.integers(0, len(gone)))]
-                    session.add_user(gone.pop(uid))  # re-add
+                    live[uid] = gone.pop(uid)
+                    session.add_user(live[uid])  # re-add
                 elif op == 2 and present:
-                    session.update_user(_user(int(rng.choice(present)), rng))
+                    user = _user(int(rng.choice(present)), rng)
+                    session.update_user(user)
+                    live[user.uid] = user
                 else:
-                    session.add_user(_user(next_uid, rng))
+                    live[next_uid] = _user(next_uid, rng)
+                    session.add_user(live[next_uid])
                     next_uid += 1
-            assert_arena_matches(session)
+            assert_arena_matches(session, live)
 
     def test_empty_delta_reuses_the_dataset(self):
-        session = StreamingMC2LS.from_dataset(edge_dataset(), k=1)
-        first = assert_arena_matches(session)
+        base = edge_dataset()
+        session = StreamingMC2LS.from_dataset(base, k=1)
+        first = assert_arena_matches(session, {u.uid: u for u in base.users})
         assert session.current_dataset() is first
         session.snapshot()
         assert session.current_dataset() is first
@@ -437,20 +447,24 @@ class TestSplicedArena:
         session = StreamingMC2LS(base.facilities, base.candidates, k=2)
         for user in base.users:
             session.add_user(user)
-        assert dataset_content_hash(assert_arena_matches(session)) == golden
         originals = {u.uid: u for u in base.users}
+        live = dict(originals)
+        assert dataset_content_hash(assert_arena_matches(session, live)) == golden
         uids = sorted(originals)
         # Far more than 25% of the users move, some leave, some arrive.
         moved = rng.choice(uids, size=len(uids) * 2 // 5, replace=False).tolist()
         left = [u for u in rng.choice(uids, size=60, replace=False).tolist()
                 if u not in moved]
         for uid in moved:
-            session.update_user(_user(uid, rng))
+            live[uid] = _user(uid, rng)
+            session.update_user(live[uid])
         for uid in left:
             session.remove_user(uid)
+            del live[uid]
         for uid in range(10_000, 10_050):
-            session.add_user(_user(uid, rng))
-        churned = assert_arena_matches(session)
+            live[uid] = _user(uid, rng)
+            session.add_user(live[uid])
+        churned = assert_arena_matches(session, live)
         assert dataset_content_hash(churned) != golden
         # Restore the population: re-adds, moves back, arrivals leave.
         for uid in left:
@@ -459,7 +473,7 @@ class TestSplicedArena:
             session.update_user(originals[uid])
         for uid in range(10_000, 10_050):
             session.remove_user(uid)
-        assert dataset_content_hash(assert_arena_matches(session)) == golden
+        assert dataset_content_hash(assert_arena_matches(session, originals)) == golden
 
     def test_splice_refuses_an_unsorted_arena_or_a_kept_uid(self):
         rng = np.random.default_rng(3)
@@ -473,14 +487,12 @@ class TestSplicedArena:
         with pytest.raises(DataError, match="ascending"):
             arena.spliced([5, 6], [_user(6, rng), _user(5, rng)])  # out of order
 
-    def test_build_refuses_an_arena_of_other_users(self):
+    def test_from_dataset_sorts_an_unsorted_arena_once(self):
         base = edge_dataset()
-        users = list(base.users)
-        other = PositionArena.from_users(users[::-1])
-        with pytest.raises(DataError, match="do not match"):
-            SpatialDataset.build(users, base.facilities, base.candidates, arena=other)
-        with pytest.raises(DataError, match="do not match"):
-            SpatialDataset.build(
-                users, base.facilities, base.candidates,
-                arena=PositionArena.from_users(users[1:]),
-            )
+        shuffled = SpatialDataset.build(base.users[::-1], base.facilities, base.candidates)
+        session = StreamingMC2LS.from_dataset(shuffled, k=1)
+        assert session.uids().tolist() == sorted(u.uid for u in base.users)
+        dataset = assert_arena_matches(session, {u.uid: u for u in base.users})
+        assert dataset_content_hash(dataset) == dataset_content_hash(
+            StreamingMC2LS.from_dataset(base, k=1).current_dataset()
+        )

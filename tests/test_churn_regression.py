@@ -36,11 +36,11 @@ def apply_event(session, event):
         return
     rng = np.random.default_rng(event["seed"])
     if op == "move":
-        user = session._users[event["uid"]]
+        user = session.user(event["uid"])
         jitter = rng.normal(0.0, 1.0, user.positions.shape)
         session.update_user(MovingUser(event["uid"], user.positions + jitter))
     elif op == "add":
-        anchor = session._users[sorted(session._users)[0]].positions
+        anchor = session.user(session.uids()[0]).positions
         offset = rng.normal(0.0, 4.0, anchor.shape)
         session.add_user(MovingUser(event["uid"], anchor + offset))
     else:  # pragma: no cover - malformed fixture

@@ -42,24 +42,6 @@ class TestMovingUser:
         with pytest.raises(DataError):
             MovingUser(1, np.array([[0.0, np.nan]]))
 
-    def test_subsampled(self):
-        u = make_user(n=20)
-        rng = np.random.default_rng(0)
-        s = u.subsampled(5, rng)
-        assert s.r == 5
-        assert s.uid == u.uid
-        # every sampled row must come from the original
-        orig = {tuple(row) for row in u.positions}
-        assert all(tuple(row) in orig for row in s.positions)
-
-    def test_subsampled_validation(self):
-        u = make_user(n=3)
-        rng = np.random.default_rng(0)
-        with pytest.raises(DataError):
-            u.subsampled(4, rng)
-        with pytest.raises(DataError):
-            u.subsampled(0, rng)
-
     def test_hash_eq_by_uid(self):
         a = MovingUser(1, np.array([[0.0, 0.0]]))
         b = MovingUser(1, np.array([[5.0, 5.0]]))
@@ -157,8 +139,14 @@ class TestSpatialDataset:
         sub = ds.subsample_positions(5, seed=0)
         assert len(sub.users) == 1  # only user 0 has >= 5 positions
         assert sub.users[0].r == 5
+        assert sub.users[0].uid == 0
+        # every sampled row must come from the original
+        orig = {tuple(row) for row in users[0].positions}
+        assert all(tuple(row) in orig for row in sub.users[0].positions)
         with pytest.raises(DataError):
             ds.subsample_positions(50)
+        with pytest.raises(DataError):
+            ds.subsample_positions(0)
 
     def test_describe_mentions_counts(self):
         ds = self.make_dataset()

@@ -56,11 +56,11 @@ def churn(session, moves=(), adds=(), removes=(), seed=0):
     """Apply a deterministic burst of events to a session."""
     rng = np.random.default_rng(seed)
     for uid in moves:
-        user = session._users[uid]
+        user = session.user(uid)
         jitter = rng.normal(0.0, 1.0, user.positions.shape)
         session.update_user(MovingUser(uid, user.positions + jitter))
     for uid in adds:
-        anchor = session._users[sorted(session._users)[0]].positions
+        anchor = session.user(session.uids()[0]).positions
         session.add_user(MovingUser(uid, anchor + rng.normal(0.0, 4.0, anchor.shape)))
     for uid in removes:
         session.remove_user(uid)
@@ -185,7 +185,7 @@ class TestPatchBitIdentity:
         snap1 = DatasetSnapshot.from_streaming(session)
         old = PreparedInstance(snap1, TAU)
         old.select(3)
-        uids = sorted(session._users)
+        uids = session.uids().tolist()
         moves = data.draw(st.lists(st.sampled_from(uids), unique=True, max_size=6))
         removable = [u for u in uids if u not in moves]
         removes = data.draw(
@@ -358,7 +358,7 @@ class TestEngineMigration:
         engine = SelectionEngine(session.snapshot())
         query = SelectionQuery(k=2, tau=TAU)
         engine.execute(query)
-        churn(session, moves=tuple(sorted(session._users))[:15], seed=4)
+        churn(session, moves=tuple(session.uids().tolist())[:15], seed=4)
         engine.publish(session.snapshot())
         inc = engine.stats()["incremental"]
         assert inc["patched"] == 0 and inc["skipped"] == 1

@@ -155,7 +155,7 @@ class TestIncrementalEquivalence:
             elif op == "update":
                 if uid in present:
                     shift = ((step % 5) - 2) * 1.5
-                    moved = np.clip(session._users[uid].positions + shift, 0, 25)
+                    moved = np.clip(session.user(uid).positions + shift, 0, 25)
                     session.update_user(MovingUser(uid, moved))
             elif uid in present:
                 if len(present) > 1:
@@ -292,7 +292,7 @@ class TestDeltaLog:
     def test_collapse_remove_then_readd_is_updated(self, base):
         session = self._drained(base)
         uid = base.users[3].uid
-        user = session._users[uid]
+        user = session.user(uid)
         session.remove_user(uid)
         session.add_user(user)
         delta = session.pending_delta()
@@ -302,7 +302,7 @@ class TestDeltaLog:
     def test_update_marks_updated_and_dirty_doomed_views(self, base):
         session = self._drained(base)
         uid = base.users[1].uid
-        session.update_user(MovingUser(uid, session._users[uid].positions + 0.5))
+        session.update_user(MovingUser(uid, session.user(uid).positions + 0.5))
         session.add_user(MovingUser(7001, base.users[0].positions))
         session.remove_user(base.users[2].uid)
         delta = session.pending_delta()
@@ -324,7 +324,7 @@ class TestDeltaLog:
     def test_drain_advances_the_mark_and_clears(self, base):
         session = self._drained(base)
         uid = base.users[0].uid
-        session.update_user(MovingUser(uid, session._users[uid].positions + 0.5))
+        session.update_user(MovingUser(uid, session.user(uid).positions + 0.5))
         first = session.drain_delta("hash-1")
         assert first.parent_hash == "hash-0"
         assert first.updated == (uid,)
@@ -347,7 +347,7 @@ class TestDeltaLog:
         assert snap1.delta is not None
         assert snap1.delta.parent_hash is None  # nothing published before
         uid = base.users[0].uid
-        session.update_user(MovingUser(uid, session._users[uid].positions + 0.5))
+        session.update_user(MovingUser(uid, session.user(uid).positions + 0.5))
         snap2 = session.snapshot()
         assert snap2.delta.parent_hash == snap1.content_hash
         assert snap2.delta.updated == (uid,)
