@@ -28,6 +28,11 @@ round checks each patched instance's ``fresh_query`` and ``k_sweep``
 answers against a fresh resolve of the same snapshot; any difference
 exits 1.
 
+``--users N`` plays the rounds on ``N`` users (perfbench's 10k by
+default), drawn from a base population scaled with it, at the same
+number of moves per round, so phases that cost ``O(churn)`` read the
+same at every ``N`` and phases that cost ``O(|Ω|)`` grow with it.
+
 ``--parent PATH`` compares two source trees: worker processes run with
 ``PYTHONPATH`` set to ``PATH/src`` and to this checkout's ``src`` in
 alternation.  Writes ``BENCH_streaming_publish.json`` at the repo root
@@ -44,6 +49,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,16 +58,33 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FRESH_K = 10
 
 
-def run_worker(seed: int, rounds: int, smoke: bool) -> None:
+def _config(smoke: bool, users: int = 0):
+    """perfbench's ``churn-publish`` sizes, on ``users`` users when given
+    (the base population grows in proportion, the moves per round stay)."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    from workloads import SMOKE, ChurnConfig
+
+    cfg = SMOKE["churn-publish"] if smoke else ChurnConfig()
+    if not users:
+        return cfg
+    return replace(
+        cfg,
+        users=users,
+        base_users=users * cfg.base_users // cfg.users,
+        move_frac=cfg.move_frac * cfg.users / users,
+    )
+
+
+def run_worker(seed: int, rounds: int, smoke: bool, users: int) -> None:
     """Print one JSON line per round: phase seconds and the round total."""
     sys.path.insert(0, str(REPO_ROOT / "perfbench"))
-    from workloads import CHURN_TAUS, SESSION_TAU, SMOKE, ChurnConfig, c_like_sample
+    from workloads import CHURN_TAUS, SESSION_TAU, c_like_sample
 
     from repro.service import DatasetSnapshot, PreparedInstance
     from repro.streaming import StreamingMC2LS
     from repro.tuning.canned import jitter_users
 
-    cfg = SMOKE["churn-publish"] if smoke else ChurnConfig()
+    cfg = _config(smoke, users)
     dataset = c_like_sample(
         cfg.base_users, cfg.users, cfg.candidates, cfg.facilities, seed
     )
@@ -119,7 +142,7 @@ def _same(a, b) -> bool:
 STDERR_TAIL_LINES = 20
 
 
-def _worker(src: Path, seed: int, rounds: int, smoke: bool) -> list:
+def _worker(src: Path, seed: int, rounds: int, smoke: bool, users: int = 0) -> list:
     """Run one worker on the ``repro`` under ``src``; its rounds, parsed.
 
     Raises:
@@ -127,7 +150,8 @@ def _worker(src: Path, seed: int, rounds: int, smoke: bool) -> list:
             its exit code and the tail of its stderr.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, __file__, "--worker", "--seed", str(seed), "--rounds", str(rounds)]
+    cmd = [sys.executable, __file__, "--worker", "--seed", str(seed), "--rounds", str(rounds),
+           "--users", str(users)]
     proc = subprocess.run(
         cmd + (["--smoke"] if smoke else []),
         env=env, capture_output=True, text=True, cwd=REPO_ROOT,
@@ -181,20 +205,21 @@ def main(argv=None) -> int:
                     help="perfbench's smoke population; used by the test suite")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=15, help="publish rounds per worker")
+    ap.add_argument("--users", type=int, default=0,
+                    help="population size (default: perfbench's churn-publish size)")
     ap.add_argument("--workers", type=int, default=2, help="worker processes per side")
     ap.add_argument("--parent", type=Path, help="source tree to compare against")
     ap.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_streaming_publish.json")
     args = ap.parse_args(argv)
+    if args.users < 0:
+        ap.error("--users must be >= 0")
     if args.worker:
-        run_worker(args.seed, args.rounds, args.smoke)
+        run_worker(args.seed, args.rounds, args.smoke, args.users)
         return 0
 
     import numpy as np
 
-    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
-    from workloads import SMOKE, ChurnConfig
-
-    cfg = SMOKE["churn-publish"] if args.smoke else ChurnConfig()
+    cfg = _config(args.smoke, args.users)
     command = " ".join(sys.argv[1:] if argv is None else argv)
     sides = {"change": REPO_ROOT}
     if args.parent is not None:
@@ -203,7 +228,7 @@ def main(argv=None) -> int:
     rounds = {name: [] for name in sides}
     for w in range(args.workers):
         for name, tree in sides.items():
-            rounds[name] += _worker(tree / "src", args.seed + w, args.rounds, args.smoke)
+            rounds[name] += _worker(tree / "src", args.seed + w, args.rounds, args.smoke, args.users)
     record = {
         "benchmark": "streaming_publish",
         "workload": "churn-publish population (perfbench ChurnConfig"

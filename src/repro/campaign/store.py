@@ -5,7 +5,7 @@ Layout under one campaign root::
     <root>/
       spec.json            # the spec that last ran here (audit)
       points/<key>.json    # one atomic record per completed point
-      dataset_hashes.json  # axis-param hash -> dataset content hash memo
+      dataset_hashes.json  # digest format + axis-param hash -> content hash memo
       failures.jsonl       # append-only log of failed/timed-out attempts
 
 Records are written with ``tmp + os.replace`` so a killed run can never
@@ -158,13 +158,17 @@ class ResultStore:
         optimisation only: executors always re-derive the hash from the
         data they built, so a stale memo entry surfaces as a loud
         key-contradiction failure rather than a silently wrong reuse.
+        Entries are keyed by the digest format too, so a store written
+        under an earlier format never reads them and re-runs its points
+        once.
         """
+        from ..service.snapshot import DIGEST_FORMAT, dataset_content_hash
+
         memo = self._load_memo()
-        param_key = self.axis_param_hash(axis)
+        param_key = f"{DIGEST_FORMAT}:{self.axis_param_hash(axis)}"
         cached = memo.get(param_key)
         if cached is not None:
             return cached
-        from ..service import dataset_content_hash
 
         content = dataset_content_hash(axis.build())
         memo[param_key] = content

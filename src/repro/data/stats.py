@@ -69,6 +69,12 @@ def _gini(counts: np.ndarray) -> float:
     return float((n + 1 - 2 * (cum / total).sum()) / n)
 
 
+def _user_mbrs(arena) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's MBR corners ``(lo, hi)``: one segmented pass over the arena."""
+    pos, starts = arena.positions, arena.offsets[:-1]
+    return np.minimum.reduceat(pos, starts), np.maximum.reduceat(pos, starts)
+
+
 def compute_stats(dataset: SpatialDataset, grid_cells: int = 32) -> DatasetStats:
     """Compute the characterisation statistics of a dataset.
 
@@ -76,67 +82,43 @@ def compute_stats(dataset: SpatialDataset, grid_cells: int = 32) -> DatasetStats
     measure (``grid_cells x grid_cells`` over the region).
 
     Degenerate populations (no users, hence no positions) produce defined
-    zeros for every ratio rather than NaNs or a ``vstack`` crash.
+    zeros for every ratio rather than NaNs or a crash.
     """
-    # The empty guard runs before any region access: a population with no
-    # users may not have a well-defined region at all.
-    if not dataset.users:
-        return DatasetStats(
-            name=dataset.name,
-            n_users=0,
-            n_positions=0,
-            mean_positions_per_user=0.0,
-            max_positions_per_user=0,
-            positions_per_km2=0.0,
-            mean_mbr_area_ratio=0.0,
-            gini_cell_occupancy=0.0,
-        )
+    # Before any region access: a population with no users has no arena (an
+    # arena refuses zero rows) and may have no well-defined region at all.
+    arena = getattr(dataset, "arena", None)
+    if arena is None:
+        return DatasetStats(dataset.name, 0, 0, 0.0, 0, 0.0, 0.0, 0.0)
     region = dataset.region
     region_area = max(region.area, 1e-12)
-    counts_r = np.array([u.r for u in dataset.users])
-    mbr_ratios = np.array(
-        [u.mbr.area / region_area for u in dataset.users], dtype=float
-    )
-
-    all_pos = np.vstack([u.positions for u in dataset.users])
-    ix = np.clip(
-        ((all_pos[:, 0] - region.min_x) / max(region.width, 1e-12) * grid_cells).astype(int),
-        0,
-        grid_cells - 1,
-    )
-    iy = np.clip(
-        ((all_pos[:, 1] - region.min_y) / max(region.height, 1e-12) * grid_cells).astype(int),
-        0,
-        grid_cells - 1,
-    )
-    occupancy = np.bincount(ix * grid_cells + iy, minlength=grid_cells * grid_cells)
-
+    counts_r = arena.lengths()
+    lo, hi = _user_mbrs(arena)
+    corner, size = [region.min_x, region.min_y], np.maximum([region.width, region.height], 1e-12)
+    cells = np.clip(((arena.positions - corner) / size * grid_cells).astype(int), 0, grid_cells - 1)
+    occupancy = np.bincount(cells[:, 0] * grid_cells + cells[:, 1], minlength=grid_cells**2)
     return DatasetStats(
         name=dataset.name,
-        n_users=len(dataset.users),
+        n_users=len(arena),
         n_positions=int(counts_r.sum()),
         mean_positions_per_user=float(counts_r.mean()),
         max_positions_per_user=int(counts_r.max()),
         positions_per_km2=float(counts_r.sum()) / region_area,
-        mean_mbr_area_ratio=float(mbr_ratios.mean()),
+        mean_mbr_area_ratio=float((np.prod(hi - lo, axis=1) / region_area).mean()),
         gini_cell_occupancy=_gini(occupancy),
     )
 
 
 def mbr_overlap_fraction(dataset: SpatialDataset, sample: int = 200, seed: int = 0) -> float:
-    """Fraction of sampled user-MBR pairs that overlap.
+    """Fraction of sampled user-MBR pairs that overlap (closed rectangles).
 
     The paper motivates user-pruning hardness with "highly overlapped
     MBRs"; this measures exactly that on a random pair sample.
     """
-    users = dataset.users
-    if len(users) < 2:
+    n_users = len(dataset.arena)
+    n = min(sample, n_users * (n_users - 1) // 2)
+    if n < 1:
         return 0.0
+    lo, hi = _user_mbrs(dataset.arena)
     rng = np.random.default_rng(seed)
-    n = min(sample, len(users) * (len(users) - 1) // 2)
-    hits = 0
-    for _ in range(n):
-        i, j = rng.choice(len(users), size=2, replace=False)
-        if users[i].mbr.intersects(users[j].mbr):
-            hits += 1
-    return hits / n if n else 0.0
+    i, j = np.array([rng.choice(n_users, size=2, replace=False) for _ in range(n)]).T
+    return float(np.mean(np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)))

@@ -3,7 +3,7 @@
 A :class:`SpatialDataset` bundles the three entity collections of an MC²LS
 instance.  The users are held once, in a :class:`~repro.influence.PositionArena`
 that every production path reads; ``users`` (:class:`MovingUser` views
-for the oracle, statistics and figures), the region MBR and ``r_max``
+for the scalar oracle and the tests), the region MBR and ``r_max``
 are derived on first read and cached.  Datasets are immutable after
 construction; experiment sweeps derive new datasets via the ``with_*`` /
 ``subsample`` methods instead of mutating shared state.

@@ -36,6 +36,7 @@ count what the kernel actually read.
 from __future__ import annotations
 
 import threading
+from hashlib import sha256
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +49,9 @@ from .probability import ProbabilityFunction
 # longer row is a chunk of its own), so a batch over thousands of
 # (facility, user) pairs keeps its gathered and padded work arrays small.
 _CHUNK_POSITIONS = 1 << 16
+
+#: Rows hashed per batch of :attr:`PositionArena.digests` (bounded temporaries).
+_DIGEST_CHUNK_ROWS = 4096
 
 
 def _chunk_bounds(lens: np.ndarray) -> List[int]:
@@ -74,14 +78,18 @@ class PositionArena:
         offsets: ``(n_users + 1,)`` int64 array; user in row ``i`` owns
             ``positions[offsets[i]:offsets[i + 1]]``.
         uids: ``(n_users,)`` int64 array of user ids in arena row order.
+        digests: ``(n_users, 32)`` uint8 SHA-256 per row of ``uid (int64) ‖
+            positions (float64, row-major)``; :meth:`take`/:meth:`spliced` carry it.
     """
 
-    __slots__ = ("positions", "offsets", "uids")
+    __slots__ = ("positions", "offsets", "uids", "_digests")
 
     def __init__(self, positions: np.ndarray, offsets: np.ndarray, uids: np.ndarray):
         self.positions = positions
         self.offsets = offsets
         self.uids = uids
+        # One 32-byte ``V32`` item per row: a splice is a fast 1-D insert.
+        self._digests: Optional[np.ndarray] = None
         if offsets.shape[0] != uids.shape[0] + 1:
             raise DataError("arena offsets must have one entry per user plus one")
         if uids.shape[0] == 0:
@@ -150,11 +158,34 @@ class PositionArena:
         """The ``(r, 2)`` positions of row ``i`` (a read-only view)."""
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
 
+    @property
+    def digests(self) -> np.ndarray:
+        """The read-only per-row digests, hashed on first read if not carried over."""
+        if self._digests is None:
+            self._digests = self._digest_rows(np.arange(len(self)))
+        out = self._digests.view(np.uint8).reshape(-1, 32)
+        out.setflags(write=False)
+        return out
+
+    def _digest_rows(self, rows: np.ndarray) -> np.ndarray:
+        """SHA-256 of ``uid ‖ positions`` for each of ``rows`` (``V32`` items)."""
+        mv = memoryview(np.ascontiguousarray(self.positions, dtype=np.float64)).cast("B")
+        out = []
+        for a in range(0, rows.size, _DIGEST_CHUNK_ROWS):
+            part = rows[a : a + _DIGEST_CHUNK_ROWS]
+            ids = self.uids[part].tobytes()
+            starts, ends = (16 * self.offsets[np.stack((part, part + 1))]).tolist()
+            spans = zip(range(0, len(ids), 8), starts, ends)
+            out.append(b"".join(sha256(ids[i : i + 8] + mv[lo:hi]).digest() for i, lo, hi in spans))
+        return np.frombuffer(b"".join(out), dtype="V32")
+
     def take(self, rows: np.ndarray) -> "PositionArena":
         """A new arena over ``rows`` of this one, in ``rows`` order."""
         flat, lens = self.gather(rows)
         flat.setflags(write=False)
-        return PositionArena(flat, np.concatenate(([0], np.cumsum(lens))), self.uids[rows])
+        out = PositionArena(flat, np.concatenate(([0], np.cumsum(lens))), self.uids[rows])
+        out._digests = None if self._digests is None else self._digests[rows]
+        return out
 
     @staticmethod
     def from_users(users: Sequence) -> "PositionArena":
@@ -184,7 +215,8 @@ class PositionArena:
         at their place in uid order.  The result equals :meth:`from_users`
         over the merged population in ascending uid order, bit for bit.
         Untouched rows are copied by slice, so the Python work is
-        ``O(len(stale_uids))`` plus one copy of the positions.
+        ``O(len(stale_uids))`` plus one copy of the positions.  If this
+        arena's :attr:`digests` were read, only the ``users`` are hashed.
 
         Raises:
             DataError: When this arena is not in strictly ascending uid
@@ -226,7 +258,11 @@ class PositionArena:
         pieces.append(self.positions[self.offsets[cursor] :])
         flat = np.concatenate(pieces, dtype=np.float64)
         flat.setflags(write=False)
-        return PositionArena(flat, offsets, uids)
+        out = PositionArena(flat, offsets, uids)
+        if self._digests is not None:
+            fresh = out._digest_rows(at + np.arange(at.size))
+            out._digests = np.insert(self._digests[keep], at, fresh)
+        return out
 
 
 class BatchInfluenceEvaluator:

@@ -1,23 +1,21 @@
 """Immutable, content-hashed dataset snapshots for the serving engine.
 
 A :class:`DatasetSnapshot` pins down *one version* of a user/facility
-population: the wrapped :class:`~repro.entities.SpatialDataset`, whose
-position arena is the CSR packing the batched verification kernel
-reads.  The content hash covers every coordinate and id in the
-dataset, so two snapshots with equal hashes are interchangeable for any
-query — which is exactly the property the engine's caches key on: a
-republished population gets a new hash, and entries computed under the
-old one can never be served against it.
+population (a :class:`~repro.entities.SpatialDataset`).  Its content
+hash covers every coordinate and id, so two snapshots with equal hashes
+are interchangeable for any query — the property the engine's caches key
+on: a republished population gets a new hash, and entries computed under
+the old one can never be served against it.  The hash reads the position
+arena's per-user digests, so republishing a churned population re-hashes
+only its churn.
 
 Supersession is explicit: when the engine publishes a successor, the old
-snapshot is marked superseded and its cache entries are dropped.  The
-:meth:`DatasetSnapshot.from_streaming` bridge turns a live
-:class:`~repro.streaming.StreamingMC2LS` session into a publishable
-version (the session's event counter becomes the snapshot version) and
-drains the session's :class:`~repro.streaming.DeltaLog` into the
-snapshot's ``delta`` attribute — the hook that lets the engine patch
-cached :class:`~repro.service.PreparedInstance`\\ s instead of
-re-resolving them when the population churns.
+snapshot is marked superseded and its cache entries are dropped.
+:meth:`DatasetSnapshot.from_streaming` publishes a live
+:class:`~repro.streaming.StreamingMC2LS` session with its drained
+:class:`~repro.streaming.DeltaLog` as ``delta``, which lets the engine
+patch cached :class:`~repro.service.PreparedInstance`\\ s instead of
+re-resolving them.
 """
 
 from __future__ import annotations
@@ -34,46 +32,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..streaming import DeltaLog, StreamingMC2LS
 
 
-#: Users packed per ``update`` of the content hash (a buffer of ~150 KB at
-#: the C-like mean of ~38 positions per user; smaller chunks hashed
-#: faster than 1024-user ones on a 2-core x86 host).
-_HASH_CHUNK_USERS = 256
+#: Names the byte layout of :func:`dataset_content_hash` (stores key by it).
+DIGEST_FORMAT = "row-sha256"
 
 
 def dataset_content_hash(dataset: SpatialDataset) -> str:
     """Deterministic SHA-256 over every id and coordinate in the dataset.
 
-    Users are hashed in dataset order with their full position history;
-    facilities and candidates with their id and location.  Any mutation
-    that could change an influence relationship changes the hash.
-
-    The user part is the byte stream ``uid (int64) ‖ positions (float64,
-    row-major)`` per user, in dataset order.  It is packed off the
-    dataset's position arena in buffers of :data:`_HASH_CHUNK_USERS`
-    users, one ``update`` per buffer.
+    Any change to a uid, a position (including the sign of a zero) or a
+    site changes the hash.  The hashed bytes are ``|Ω|, |F|, |C|`` (int64);
+    the arena's per-user :attr:`~repro.influence.PositionArena.digests`
+    (SHA-256 of ``uid (int64) ‖ positions (float64, row-major)``) in
+    dataset order; then the facility ids (int64) and ``(x, y)`` (float64),
+    then the candidates'.  Only a spliced arena's new users are hashed anew.
     """
-    h = hashlib.sha256()
-    arena = dataset.arena
-    uids = arena.uids.view(np.uint64)
-    words = arena.positions.view(np.uint64)
-    offsets = arena.offsets
-    for a in range(0, len(arena), _HASH_CHUNK_USERS):
-        b = min(a + _HASH_CHUNK_USERS, len(arena))
-        lo, hi = int(offsets[a]), int(offsets[b])
-        # Each user is one uid word followed by its 2·r coordinate words.
-        uid_at = np.arange(b - a) + 2 * (offsets[a:b] - lo)
-        buf = np.empty(b - a + 2 * (hi - lo), dtype=np.uint64)
-        is_coord = np.ones(buf.size, dtype=bool)
-        is_coord[uid_at] = False
-        buf[uid_at] = uids[a:b]
-        buf[is_coord] = words[lo:hi].reshape(-1)
-        h.update(memoryview(buf))
-    for tag, group in ((b"F", dataset.facilities), (b"C", dataset.candidates)):
-        for v in group:
-            h.update(tag)
-            h.update(np.int64(v.fid).tobytes())
-            h.update(np.float64(v.x).tobytes())
-            h.update(np.float64(v.y).tobytes())
+    groups = (dataset.facilities, dataset.candidates)
+    h = hashlib.sha256(np.array([len(dataset.arena)] + [len(g) for g in groups], dtype=np.int64))
+    h.update(dataset.arena.digests)
+    for group in groups:
+        h.update(np.array([v.fid for v in group], dtype=np.int64))
+        h.update(np.array([(v.x, v.y) for v in group], dtype=np.float64))
     return h.hexdigest()
 
 
@@ -96,7 +74,7 @@ class DatasetSnapshot:
         self.dataset = dataset
         self.version = version
         self.label = label or dataset.name
-        # The CSR position arena every resolve reads; the hash packs it too.
+        # The CSR position arena every resolve reads (and the hash too).
         self.arena = dataset.arena
         self.content_hash = dataset_content_hash(dataset)
         #: Churn relative to the previous snapshot of the same streaming

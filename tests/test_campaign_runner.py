@@ -5,6 +5,7 @@ candidates) so inline runs complete in seconds; the worker-pool path is
 exercised once with 2 workers and once under an impossible timeout.
 """
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -95,6 +96,22 @@ class TestInlineRuns:
         CampaignRunner(_spec(), store).run(progress=lines.append)
         assert any("2 to run" in line for line in lines)
         assert sum("ok" in line for line in lines) == 2
+
+    def test_store_from_an_earlier_digest_format_reruns_its_points(self, store):
+        """A memo entry and a record written under an earlier content
+        digest are ignored: every point re-runs once, under its new key."""
+        old_hash = "0" * 64
+        store.root.mkdir(parents=True)
+        (store.root / "dataset_hashes.json").write_text(
+            json.dumps({store.axis_param_hash(TINY): old_hash})
+        )
+        (g, point), = _spec(ks=(2,)).points()
+        store.put({"key": point.key(old_hash), "grid": g.name})
+        report = CampaignRunner(_spec(), store).run()
+        assert report.ok
+        assert (report.executed, report.cached) == (2, 0)
+        assert all(r["dataset_hash"] != old_hash for r in store.records() if "result" in r)
+        assert CampaignRunner(_spec(), store).run().executed == 0
 
 
 class TestExecutePoint:

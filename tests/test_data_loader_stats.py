@@ -12,9 +12,10 @@ from repro.data import (
     load_checkins,
     mbr_overlap_fraction,
 )
-from repro.data.stats import _gini
+from repro.data.stats import DatasetStats, _gini
 from repro.entities import MovingUser, SpatialDataset, candidate
 from repro.exceptions import DataError
+from tests.test_streaming_publish import c_like_dataset, edge_dataset
 
 
 @pytest.fixture
@@ -101,6 +102,45 @@ class TestLoader:
     def test_bbox_validation(self):
         with pytest.raises(DataError):
             LatLonBox(50, 0, 40, 10)
+
+
+def _view_stats(dataset, grid_cells=32) -> DatasetStats:
+    """The statistics as a per-user pass over ``MovingUser`` views computes them."""
+    region = dataset.region
+    region_area = max(region.area, 1e-12)
+    counts_r = np.array([u.r for u in dataset.users])
+    mbr_ratios = np.array([u.mbr.area / region_area for u in dataset.users], dtype=float)
+    all_pos = np.vstack([u.positions for u in dataset.users])
+    cells = [
+        ((all_pos[:, d] - lo) / max(extent, 1e-12) * grid_cells).astype(int).clip(0, grid_cells - 1)
+        for d, lo, extent in ((0, region.min_x, region.width), (1, region.min_y, region.height))
+    ]
+    occupancy = np.bincount(cells[0] * grid_cells + cells[1], minlength=grid_cells * grid_cells)
+    return DatasetStats(
+        name=dataset.name,
+        n_users=len(dataset.users),
+        n_positions=int(counts_r.sum()),
+        mean_positions_per_user=float(counts_r.mean()),
+        max_positions_per_user=int(counts_r.max()),
+        positions_per_km2=float(counts_r.sum()) / region_area,
+        mean_mbr_area_ratio=float(mbr_ratios.mean()),
+        gini_cell_occupancy=_gini(occupancy),
+    )
+
+
+def _view_overlap(dataset, sample=200, seed=0) -> float:
+    """The MBR overlap fraction as a loop over ``MovingUser`` views computes it."""
+    users = dataset.users
+    rng = np.random.default_rng(seed)
+    n = min(sample, len(users) * (len(users) - 1) // 2)
+    pairs = [rng.choice(len(users), size=2, replace=False) for _ in range(n)]
+    return sum(users[i].mbr.intersects(users[j].mbr) for i, j in pairs) / n
+
+
+@pytest.mark.parametrize("make", [edge_dataset, c_like_dataset], ids=["edge", "c_like"])
+def test_stats_off_the_arena_equal_the_per_user_views(make):
+    assert compute_stats(make()) == _view_stats(make())
+    assert mbr_overlap_fraction(make()) == _view_overlap(make())
 
 
 class TestStats:

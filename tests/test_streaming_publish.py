@@ -13,12 +13,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import california_like
 from repro.entities import MovingUser, SpatialDataset, candidate, existing
 from repro.exceptions import SolverError
 from repro.geo import Rect
 from repro.influence import PositionArena, paper_default_pf
+from repro.influence import batch as batch_module
 from repro.service import dataset_content_hash
 from repro.solvers import IQTSolver
 from repro.solvers.base import patch_resolution
@@ -45,26 +48,38 @@ def c_like_dataset() -> SpatialDataset:
     return california_like(n_users=700, n_candidates=12, n_facilities=20, seed=3)
 
 
+def _row_digests(users) -> np.ndarray:
+    """Per-user SHA-256 of ``uid ‖ positions``, one ``hashlib`` call each."""
+    rows = [
+        hashlib.sha256(
+            np.int64(u.uid).tobytes()
+            + np.ascontiguousarray(u.positions, dtype=np.float64).tobytes()
+        ).digest()
+        for u in users
+    ]
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, 32)
+
+
 def _loop_digest(dataset: SpatialDataset) -> str:
-    """The content hash as the per-user loop computed it."""
-    h = hashlib.sha256()
-    for user in dataset.users:
-        h.update(np.int64(user.uid).tobytes())
-        h.update(np.ascontiguousarray(user.positions, dtype=np.float64).tobytes())
-    for tag, group in ((b"F", dataset.facilities), (b"C", dataset.candidates)):
+    """The content hash as a per-user SHA-256 reference loop computes it."""
+    groups = (dataset.facilities, dataset.candidates)
+    counts = [len(dataset.users)] + [len(g) for g in groups]
+    h = hashlib.sha256(np.array(counts, dtype=np.int64).tobytes())
+    h.update(_row_digests(dataset.users).tobytes())
+    for group in groups:
         for v in group:
-            h.update(tag)
             h.update(np.int64(v.fid).tobytes())
+        for v in group:
             h.update(np.float64(v.x).tobytes())
             h.update(np.float64(v.y).tobytes())
     return h.hexdigest()
 
 
 class TestContentDigest:
-    # Digests of the per-user ``update`` loop the arena packing replaced.
+    # Digests of the per-user SHA-256 reference loop (``_loop_digest``).
     GOLDEN = {
-        "edge": "53b64231f473dadacf4735cdd7eac0401142c556672d48257a416d75c5d053f4",
-        "c_like": "32e883deb063dba3398d271ca70eb0d86f09e6ccc84038fdd453933dbf1bedd5",
+        "edge": "bda77926c8db33aa84fdc86707edcacf6fff0c8dd251d0b700e3431bbfbed1a0",
+        "c_like": "0cb70362204555e36ed40a4b438b2ae004e42a2e9ce77ad76b7d22bae5923db1",
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -93,6 +108,117 @@ class TestContentDigest:
         users = list(base.users)
         users[1] = MovingUser(2, np.array([[0.0, -0.0]]))
         assert dataset_content_hash(base.with_users(users)) != dataset_content_hash(base)
+
+    def test_every_uid_and_site_counts(self):
+        base = edge_dataset()
+        digest = dataset_content_hash(base)
+        users = list(base.users)
+        users[2] = MovingUser(42, users[2].positions)
+        assert dataset_content_hash(base.with_users(users)) != digest
+        sites = list(base.candidates)
+        sites[0] = candidate(8, -2.0, 0.0)  # was -0.0
+        assert dataset_content_hash(base.with_candidates(sites)) != digest
+        sites = list(base.facilities)
+        sites[1] = existing(5, 2.5, -4.0)
+        assert dataset_content_hash(base.with_facilities(sites)) != digest
+        # A site moved between the groups is a different dataset.
+        moved = SpatialDataset.build(
+            base.users, base.facilities + (existing(8, -2.0, -0.0),), base.candidates[1:]
+        )
+        assert dataset_content_hash(moved) != digest
+
+
+def _random_user(uid, rng) -> MovingUser:
+    return MovingUser(uid, rng.normal(0.0, 5.0, (int(rng.integers(1, 6)), 2)))
+
+
+def _churn(arena: PositionArena, live: dict, rng, n_events: int) -> PositionArena:
+    """Apply ``n_events`` random adds, moves and removes to ``live`` and
+    splice them into ``arena``."""
+    stale = set()
+    for _ in range(n_events):
+        op = int(rng.integers(0, 3))
+        present = sorted(live)
+        uid = int(rng.choice(present))
+        if op == 0 and len(live) > 1:
+            del live[uid]
+        elif op == 1:
+            live[uid] = _random_user(uid, rng)
+        else:
+            uid = int(rng.integers(-50, 200))
+            live[uid] = _random_user(uid, rng)
+        stale.add(uid)
+    stale = sorted(stale)
+    return arena.spliced(stale, [live[u] for u in stale if u in live])
+
+
+class TestRowDigests:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        computed=st.booleans(),
+        steps=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    )
+    def test_spliced_and_taken_equal_a_full_pack(self, seed, computed, steps):
+        rng = np.random.default_rng(seed)
+        live = {uid: _random_user(uid, rng) for uid in range(0, 60, 3)}
+        arena = PositionArena.from_users([live[u] for u in sorted(live)])
+        if computed:
+            arena.digests
+        for n_events in steps:
+            arena = _churn(arena, live, rng, n_events)
+            assert (arena._digests is not None) == computed
+            users = [live[u] for u in sorted(live)]
+            want = PositionArena.from_users(users).digests
+            size = int(rng.integers(1, len(users) + 1))
+            rows = np.sort(rng.choice(len(users), size=size, replace=False))
+            taken = arena.take(rows)
+            assert (taken._digests is not None) == computed
+            assert taken.digests.tobytes() == want[rows].tobytes()
+            # Read a lazy arena's digests off a twin, so the next splice
+            # still has an unhashed parent.
+            got = arena if computed else PositionArena(arena.positions, arena.offsets, arena.uids)
+            assert got.digests.tobytes() == want.tobytes() == _row_digests(users).tobytes()
+            assert not got.digests.flags.writeable
+
+    def test_chunking_does_not_change_the_digests(self, monkeypatch):
+        users = c_like_dataset().users
+        want = PositionArena.from_users(users).digests
+        monkeypatch.setattr(batch_module, "_DIGEST_CHUNK_ROWS", 7)
+        assert PositionArena.from_users(users).digests.tobytes() == want.tobytes()
+
+    def test_a_splice_of_m_users_hashes_m_rows(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return hashlib.sha256(data)
+
+        rng = np.random.default_rng(11)
+        live = {uid: _random_user(uid, rng) for uid in range(400)}
+        parent = PositionArena.from_users([live[u] for u in sorted(live)])
+        dataset = SpatialDataset(parent, (), (candidate(0, 0.0, 0.0),))
+        dataset_content_hash(dataset)
+        monkeypatch.setattr(batch_module, "sha256", counting)
+        # 30 moves, 10 arrivals and 5 departures: 40 users to pack.
+        moved = rng.choice(400, size=35, replace=False).tolist()
+        for uid in moved[:30]:
+            live[uid] = _random_user(uid, rng)
+        for uid in moved[30:]:
+            del live[uid]
+        for uid in range(1000, 1010):
+            live[uid] = _random_user(uid, rng)
+        stale = sorted(moved + list(range(1000, 1010)))
+        child = parent.spliced(stale, [live[u] for u in stale if u in live])
+        assert len(calls) == 40
+        dataset_content_hash(SpatialDataset(child, (), dataset.candidates))
+        child.take(np.arange(0, len(child), 2))
+        assert len(calls) == 40
+        # A parent that was never hashed hands a lazy arena on: no rows yet.
+        calls.clear()
+        lazy = PositionArena.from_users([live[u] for u in sorted(live)])
+        lazy.spliced(stale[:5], [live[u] for u in stale[:5] if u in live])
+        assert calls == []
 
 
 def _union_fold(dataset: SpatialDataset) -> Rect:
